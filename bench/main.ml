@@ -862,34 +862,34 @@ let bechamel () =
           (match overhead with Some p -> J.Float p | None -> J.Null)) ])
 
 (* ------------------------------------------------------------------ *)
-(* Backends: interpreter vs closure-compiled execution                 *)
+(* Backends: interpreter vs IR-compiled execution                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Wall-clock comparison of the two kernel-execution backends on one
    representative pipeline per figure.  Simulated times (and thus every
    ratio above) are identical under both; only host wall time moves. *)
+(* Best-of-5 time of [f] under backend [b], after one run that warms the
+   build and compile caches.  The minimum is the noise-robust estimator
+   of the intrinsic cost (GC pauses and scheduler interference only ever
+   add time), so the gates built on it don't flake under load. *)
+let time_under b f =
+  let saved = !Gpusim.Exec.backend in
+  Gpusim.Exec.backend := b;
+  Fun.protect
+    ~finally:(fun () -> Gpusim.Exec.backend := saved)
+    (fun () ->
+       ignore (f ());
+       let best = ref infinity in
+       for _ = 1 to 5 do
+         let t0 = Sys.time () in
+         ignore (f ());
+         let t = Sys.time () -. t0 in
+         if t < !best then best := t
+       done;
+       !best)
+
 let backends () =
-  header "Backends: AST interpreter vs closure-compiled (wall clock)";
-  let time_under b f =
-    let saved = !Gpusim.Exec.backend in
-    Gpusim.Exec.backend := b;
-    Fun.protect
-      ~finally:(fun () -> Gpusim.Exec.backend := saved)
-      (fun () ->
-         ignore (f ()); (* warm the build and compile caches *)
-         (* best-of-n: the minimum is the noise-robust estimator of the
-            intrinsic cost (GC pauses and scheduler interference only
-            ever add time), so the gate below doesn't flake under load *)
-         let n = 5 in
-         let best = ref infinity in
-         for _ = 1 to n do
-           let t0 = Sys.time () in
-           ignore (f ());
-           let t = Sys.time () -. t0 in
-           if t < !best then best := t
-         done;
-         !best)
-  in
+  header "Backends: AST interpreter vs IR-compiled (wall clock)";
   let ocl_head apps = List.hd apps in
   let workloads =
     [ ("fig7a.rodinia-wrapped",
@@ -962,31 +962,14 @@ let backends () =
 (* Ablation: IR pass pipeline                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* How much of the closure backend's fig7a win each middle-end rewrite
+(* How much of the compiled backend's fig7a win each middle-end rewrite
    carries: the backend speedup with the full pipeline, with each pass
-   disabled individually, and with the pipeline off entirely (the PR 3
-   baseline path).  Feeds the A8 ablation table in EXPERIMENTS.md. *)
+   disabled individually, and with the pipeline off entirely (the IR
+   with no passes and no register promotion).  Feeds the A8 ablation
+   table in EXPERIMENTS.md. *)
 let ablation_ir () =
   header "Ablation: IR passes (fig7a backend speedup, one pass off at a time)";
   let f () = run_app_on_cuda (List.hd Suite.Registry.rodinia_opencl) () in
-  let time_under b g =
-    let saved = !Gpusim.Exec.backend in
-    Gpusim.Exec.backend := b;
-    Fun.protect
-      ~finally:(fun () -> Gpusim.Exec.backend := saved)
-      (fun () ->
-         ignore (g ());
-         (* best-of-n, same estimator as the backends gate *)
-         let n = 5 in
-         let best = ref infinity in
-         for _ = 1 to n do
-           let t0 = Sys.time () in
-           ignore (g ());
-           let t = Sys.time () -. t0 in
-           if t < !best then best := t
-         done;
-         !best)
-  in
   let ti = time_under Gpusim.Exec.Interp f in
   let configs =
     ("all", Ir.Pipeline.all)

@@ -119,7 +119,7 @@ let translate_cmd =
                    middle-end's kernel IR for every function after the \
                    enabled passes ($(b,OCLCU_IR_PASSES) selects them; \
                    default all), with per-pass rewrite counts and the \
-                   reason for any function left on the closure backend")
+                   reason for any function left to the interpreter")
   in
   let run_ir_dump input src =
     let dialect =
@@ -153,7 +153,7 @@ let translate_cmd =
               | None -> ());
              print_string (Ir.Core.dump_fn fn)
            | Some (Error why) ->
-             Printf.printf "; %s: closure backend (%s)\n" name why
+             Printf.printf "; %s: interpreter (%s)\n" name why
            | None -> ())
         (Ir.Emit.function_names est);
       `Ok ()
@@ -445,6 +445,39 @@ let enable_attribution () =
   Gpusim.Exec.attribute := true;
   Minic.Site.reset ()
 
+(* Exit codes of `oclcu run` for inputs that cannot run (see its man
+   page); everything else that escapes is a bug and stays 125. *)
+let exit_malformed = 2
+let exit_runtime = 3
+let exit_fault = 4
+
+let run_exits =
+  Cmd.Exit.info exit_malformed
+    ~doc:"the source is malformed: a lexer or parser error, reported as \
+          $(i,FILE):$(i,LINE): $(i,message)."
+  :: Cmd.Exit.info exit_runtime
+       ~doc:"the program failed at run time: the host program or a kernel \
+             raised an execution error (no $(b,main), an unknown \
+             function, a null pointer, ...)."
+  :: Cmd.Exit.info exit_fault
+       ~doc:"a kernel or the host accessed simulated memory outside every \
+             allocation; the diagnostic names the address space and byte \
+             offset."
+  :: Cmd.Exit.defaults
+
+(* One-line diagnostic and exit code for an input that cannot run. *)
+let run_failure input = function
+  | Minic.Parser.Error (msg, line) | Minic.Lexer.Error (msg, line) ->
+    Some (exit_malformed, Printf.sprintf "%s:%d: %s" input line msg)
+  | Vm.Interp.Error msg ->
+    Some (exit_runtime, Printf.sprintf "%s: execution error: %s" input msg)
+  | Vm.Memory.Fault (space, addr) ->
+    Some
+      ( exit_fault,
+        Printf.sprintf "%s: memory fault: %s address %d is outside every \
+                        allocation" input space addr )
+  | _ -> None
+
 let run_cmd =
   let input =
     Arg.(required & pos 0 (some file) None
@@ -469,8 +502,9 @@ let run_cmd =
     in
     Arg.(value & opt backend_conv !Gpusim.Exec.backend
          & info [ "backend" ]
-             ~doc:"Kernel execution backend: $(b,compiled) (closure-compiled, \
-                   the default) or $(b,interp) (AST interpreter); the \
+             ~doc:"Kernel execution backend: $(b,compiled) (closures emitted \
+                   from the optimizing IR, the default) or $(b,interp) (AST \
+                   interpreter, the reference oracle); the \
                    $(b,OCLCU_BACKEND) environment variable sets the default")
   in
   let domains_arg =
@@ -496,8 +530,8 @@ let run_cmd =
                    scalar with identical results).  The $(b,OCLCU_ENGINE) \
                    environment variable sets the default")
   in
-  let run input device trace profile attribute backend domains engine =
-    catching_sys_error @@ fun () ->
+  let run_program input device trace profile attribute backend domains
+      engine =
     Gpusim.Exec.backend := backend;
     Gpusim.Exec.engine := engine;
     Gpusim.Exec.domains := max 1 domains;
@@ -554,8 +588,22 @@ let run_cmd =
         `Ok ()
     end
   in
+  let run input device trace profile attribute backend domains engine =
+    catching_sys_error @@ fun () ->
+    match
+      run_program input device trace profile attribute backend domains engine
+    with
+    | r -> r
+    | exception e ->
+      (match run_failure input e with
+       | Some (code, msg) ->
+         Printf.eprintf "oclcu: run: %s\n" msg;
+         exit code
+       | None -> raise e)
+  in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute a CUDA program on a simulated device")
+    (Cmd.info "run" ~doc:"Execute a CUDA program on a simulated device"
+       ~exits:run_exits)
     Term.(
       ret
         (const run $ input $ device $ trace_arg $ profile $ attribute_arg

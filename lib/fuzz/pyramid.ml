@@ -3,7 +3,10 @@
    One generated case is executed six ways:
 
         OpenCL original      OCL->CUDA          CUDA->OCL round trip
-        Compile + Interp     Compile + Interp   Compile + Interp
+        IR + Interp          IR + Interp        IR + Interp
+
+   ("IR" is the compiled backend: closures emitted from the kernel IR,
+   pinned to the empty pass set for the backend comparison.)
 
    Within a stage the two backends must agree on output bytes AND on the
    full Counters.t (the timing model sees the same program).  Across
@@ -239,7 +242,7 @@ let counter_diff a b =
 
    The backend-vs-backend comparison pins OCLCU_IR_PASSES=none: the
    counter-identity contract is between the interpreter and the
-   *unoptimized* closure backend.  A separate sub-stage then re-runs the
+   *unoptimized* IR.  A separate sub-stage then re-runs the
    compiled backend with the ambient pass set and requires byte-identical
    buffers — the optimizer may change op counts, never results. *)
 let run_stage ~stage (c : Gen.case) (p : plan) ~(reference : string option) :

@@ -324,8 +324,8 @@ let uint3 a =
     (TVec (UInt, 3))
 
 (* ------------------------------------------------------------------ *)
-(* Backend selection: closure-compiled VM (default) vs tree-walking    *)
-(* interpreter (OCLCU_BACKEND=interp, for differential testing)        *)
+(* Backend selection: IR-compiled closures (default) vs tree-walking   *)
+(* interpreter (OCLCU_BACKEND=interp, the reference oracle)            *)
 (* ------------------------------------------------------------------ *)
 
 type backend = Interp | Compiled
@@ -350,36 +350,16 @@ let special_ty = function
     Some (TScalar Int)
   | _ -> None
 
-(* Compiled programs, keyed by physical identity of the module AST: the
-   build pipelines return a shared AST for a loaded module (and the
-   build cache shares it across contexts), so each module compiles once
-   per process.  Bounded; structural hashing of whole ASTs would defeat
-   the point.  Mutex-protected: compiled programs are shared across
-   domains and tests launch from spawned domains. *)
-let compiled_cache : (Minic.Ast.program * Vm.Compile.program) list ref = ref []
-let compiled_cache_limit = 16
-let compiled_cache_lock = Mutex.create ()
-
-let compiled_for prog =
-  Mutex.lock compiled_cache_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock compiled_cache_lock)
-    (fun () ->
-       match List.find_opt (fun (p, _) -> p == prog) !compiled_cache with
-       | Some (_, cp) -> cp
-       | None ->
-         let cp = Vm.Compile.make ~special_ty prog in
-         let rest =
-           List.filteri (fun i _ -> i < compiled_cache_limit - 1) !compiled_cache
-         in
-         compiled_cache := (prog, cp) :: rest;
-         cp)
-
-(* IR-compiled modules: same physical-identity keying and bound as
-   [compiled_cache], additionally keyed by the enabled pass set so a
-   changed OCLCU_IR_PASSES (or a test toggling Ir.Pipeline.selected)
-   takes effect without restarting the process.  Each entry carries its
-   own Vm.Compile fallback for functions the lowering rejected. *)
+(* IR-compiled modules, keyed by physical identity of the module AST
+   (the build pipelines return a shared AST for a loaded module, and the
+   build cache shares it across contexts, so each module compiles once
+   per process) and by the enabled pass set, so a changed
+   OCLCU_IR_PASSES (or a test toggling Ir.Pipeline.selected) takes
+   effect without restarting the process.  Bounded; structural hashing
+   of whole ASTs would defeat the point.  Mutex-protected: compiled
+   modules are shared across domains and tests launch from spawned
+   domains. *)
+let ir_cache_limit = 16
 let ir_cache : ((Minic.Ast.program * string) * Ir.Emit.t) list ref = ref []
 let ir_cache_lock = Mutex.create ()
 
@@ -396,7 +376,7 @@ let ir_for prog =
        | None ->
          let est = Ir.Emit.make ~special_ty ~cfg:!Ir.Pipeline.selected prog in
          let rest =
-           List.filteri (fun i _ -> i < compiled_cache_limit - 1) !ir_cache
+           List.filteri (fun i _ -> i < ir_cache_limit - 1) !ir_cache
          in
          ir_cache := ((prog, sg), est) :: rest;
          est)
@@ -485,42 +465,29 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
   let clk_local_tv = Vm.Interp.tint 1 in
   let clk_global_tv = Vm.Interp.tint 2 in
 
-  (* the kernel compiles once per loaded module and is reused across all
-     work-items, work-groups and launches.  The optimizing IR middle-end
-     takes over on the compiled backend when any pass is enabled and no
-     observer is installed (the IR backend does not model per-statement
-     observation); OCLCU_IR_PASSES=none restores the plain closure
-     backend bit-for-bit.  A kernel the lowering rejected falls back to
-     the closure backend of the same module. *)
-  let use_ir =
-    !backend = Compiled && observer = None
-    && not (Ir.Pipeline.is_none !Ir.Pipeline.selected)
-  in
-  (* resolve the kernel's compiled form once; the per-item path is then
-     a bare closure application *)
+  (* The kernel compiles once per loaded module (through the IR, with
+     the selected pass set) and is reused across all work-items,
+     work-groups and launches; the per-item path is then a bare closure
+     application.  The interpreter backend, and a kernel the lowering
+     rejected, run on Vm.Interp. *)
   let compiled_kernel =
     match !backend with
     | Interp -> None
-    | Compiled ->
-      if use_ir then begin
-        let est = ir_for prog in
-        match Ir.Emit.prepare est kernel.fn_name with
-        | Some f -> Some f
-        | None -> Some (Vm.Compile.prepare (Ir.Emit.fallback est) kernel)
-      end
-      else Some (Vm.Compile.prepare (compiled_for prog) kernel)
+    | Compiled -> Ir.Emit.prepare (ir_for prog) kernel
   in
 
   (* Warp-lockstep engine: resolve the kernel's warp plan if requested.
-     Needs the IR backend, and no launch override of a built-in the
-     plan folds in — the index functions and barriers bypass the
-     external table on the fast path, and the NDRange shape queries
-     seed the uniformity analysis. *)
+     Needs the compiled backend with passes on and no observer, and no
+     launch override of a built-in the plan folds in — the index
+     functions and barriers bypass the external table on the fast path,
+     and the NDRange shape queries seed the uniformity analysis. *)
   let lockstep_plan =
     match !engine with
     | Scalar -> None
     | Lockstep ->
-      if not use_ir then
+      if !backend = Interp || observer <> None
+         || Ir.Pipeline.is_none !Ir.Pipeline.selected
+      then
         Some
           (Error "lockstep needs the IR backend (compiled, passes on, \
                   no observer)")
@@ -887,8 +854,9 @@ let launch ~(dev : Device.t) ~prog ~globals ~host_arena
                Vm.Interp.scopes = [];
                group_locals = Some group_locals }
            in
-           (* the compiled backends bind locals in frame slots, so the
-              item scope only exists to hold the $dynshared aliases *)
+           (* IR-compiled kernels bind locals in per-call register and
+              memory slots, so the item scope only exists to hold the
+              $dynshared aliases *)
            if compiled_kernel = None || dynshared_addr <> None then begin
              Vm.Interp.push_scope ctx;
              match dynshared_addr with

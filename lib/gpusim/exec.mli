@@ -53,9 +53,12 @@ type config = {
 }
 
 (** Kernel execution backend.  [Compiled] (the default) lowers each
-    loaded module once with {!Vm.Compile} and reuses the closures across
-    all work-items and launches; [Interp] re-walks the AST per work-item.
-    Both produce identical results and identical {!Counters.t}. *)
+    loaded module once through the IR ({!Ir.Emit}, with the
+    {!Ir.Pipeline.selected} passes) and reuses the closures across all
+    work-items and launches; a function the lowering rejects runs on the
+    interpreter.  [Interp] re-walks the AST per work-item: the reference
+    oracle.  Both produce identical results; with the empty pass set
+    they also produce identical {!Counters.t}. *)
 type backend = Interp | Compiled
 
 (** Parse a backend name ("interp" / "compiled"); [None] if unknown. *)

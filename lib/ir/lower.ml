@@ -1,21 +1,23 @@
 (* Lowering Mini-C device functions into the kernel IR.
 
-   The contract is observational identity with `Vm.Compile` (which in
-   turn mirrors `Vm.Interp`): every lowered construct evaluates its
-   pieces in the same order, charges the same operation classes at the
-   same attribution site, and performs the same simulated-memory
-   traffic — with one documented exception: scalar and pointer locals
-   that are never address-taken live in virtual registers, so their
-   private-memory load/store charges (and the matching
-   `private_accesses` counter traffic) disappear.  That is the point of
-   the backend; `OCLCU_IR_PASSES=none` bypasses the IR entirely for an
-   exact replay of the old pipeline.
+   The contract is observational identity with `Vm.Interp`, the
+   reference oracle: every lowered construct evaluates its pieces in the
+   same order, charges the same operation classes at the same
+   attribution site, and performs the same simulated-memory traffic —
+   with one documented exception: when any pass is enabled, scalar and
+   pointer locals and parameters that are never address-taken live in
+   virtual registers, so their private-memory load/store charges (and
+   the matching `private_accesses` counter traffic) disappear.  With
+   `OCLCU_IR_PASSES=none` nothing is promoted: every local is a
+   private-memory cell, as in the interpreter, and counters match it
+   exactly.
 
    Lowering is per-function and total-or-nothing: any construct the IR
-   does not model (structs, references, templates, string literals,
-   module globals, host-side launches) raises [Reject] and the function
-   simply stays on the closure backend — `Emit` falls back per callee,
-   so a kernel can be IR-compiled even when a helper it calls is not. *)
+   does not model (structs, templates, opaque image types, string
+   literals, module globals, host-side launches) raises [Reject] and
+   the function runs on `Vm.Interp` instead — `Emit` resolves callees
+   one by one, so a kernel can be IR-compiled even when a helper it
+   calls is not. *)
 
 open Minic.Ast
 module I = Vm.Interp
@@ -266,8 +268,8 @@ let removable_barriers (md : modl) (body : stmt list) : expr list =
 
 (* [VRef (r, inner)] binds a reference parameter: the register holds
    the caller-passed pointer (typed [TPtr inner]) and every use goes
-   through [LvDeref], mirroring the closure backend's raw aliasing
-   binding (no allocation, no entry store). *)
+   through [LvDeref], mirroring the interpreter's raw aliasing binding
+   (no allocation, no entry store). *)
 type vref = VReg of int * ty | VRef of int * ty | VMem of int
 
 type lstate = {
@@ -332,7 +334,7 @@ let sizeof st t = Layout.sizeof st.md.md_layout t
 let cst_int n = Core.Cst (I.tv (V.VInt n) (TScalar Int))
 let one = I.tv (V.VInt 1L) (TScalar Int)
 
-(* Mirror of Compile's static type oracle (Compile.sty). *)
+(* Static type oracle: the type the interpreter's value would carry. *)
 let rec sty st (e : expr) : ty =
   match e with
   | Ident name ->
@@ -409,7 +411,7 @@ let rec lower_expr st acc (e : expr) : Core.operand =
        then letk st acc (Core.Special name)
        else
          (* module global or launch-scoped binding: resolved through the
-            runtime context, exactly like the closure backend *)
+            runtime context, exactly like the interpreter *)
          letk st acc (Core.Free name))
   | Unary (Neg, a) ->
     let oa = lower_expr st acc a in
@@ -424,8 +426,8 @@ let rec lower_expr st acc (e : expr) : Core.operand =
     when is_rval_member st a
          || (match a with Call _ | VecLit _ | Binary _ -> true | _ -> false) ->
     (* rvalue component select; only lowered when the base is statically
-       vector-typed (the closure backend's non-vector fallback re-reads
-       the base as an lvalue, which the IR does not model) *)
+       vector-typed (the interpreter's non-vector fallback re-reads the
+       base as an lvalue, which the IR does not model) *)
     (match resolve st (sty st a) with
      | TVec (s, w) ->
        let oa = lower_expr st acc a in
@@ -479,8 +481,8 @@ let rec lower_expr st acc (e : expr) : Core.operand =
     push acc (Core.If (st.site, oa, seal ta, seal ea));
     letk st acc (Core.Mov (Core.Reg m))
   | Binary (op, a, b) ->
-    (* the closure backend applies its combiner to (ca env) (cb env),
-       which OCaml evaluates right-to-left: b's effects land first *)
+    (* the interpreter applies [binop] to (eval a) (eval b), which
+       OCaml evaluates right-to-left: b's effects land first *)
     let ob = lower_expr st acc b in
     let oa = lower_expr st acc a in
     letk st acc (Core.Bin (op, oa, ob))
@@ -637,9 +639,9 @@ and lower_inline st acc (f : func) body_expr args : Core.operand =
   Fun.protect ~finally:(fun () -> st.inl_depth <- st.inl_depth - 1)
   @@ fun () ->
   (* bind parameters as normalized registers, arguments left-to-right
-     like the closure backend's argv loop; the normalization is exactly
-     the store+load roundtrip `compile_param` performs, minus its
-     private-memory traffic *)
+     like a wrapper's argv loop; the normalization is exactly the
+     store+load roundtrip of the interpreter's parameter binding, minus
+     its private-memory traffic *)
   let binds =
     List.map2
       (fun (pa : param) a ->
@@ -695,8 +697,15 @@ let rec lower_init_parts st acc v (ty : ty) (off : int) (items : init list) =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Register promotion is the lowering's own optimisation; the empty
+   pass set turns it off along with the passes, so `none` keeps the
+   interpreter's private-memory traffic and hence its exact counters
+   (the fuzzer pyramid's backend stage compares them field by field). *)
+let promoting st = not (Pipeline.is_none st.md.md_cfg)
+
 let promotable st (d : decl) =
-  (match resolve st d.d_ty with
+  promoting st
+  && (match resolve st d.d_ty with
    | TScalar s -> s <> Void
    | TPtr _ -> true
    | _ -> false)
@@ -878,9 +887,10 @@ let lower_fn (md : modl) (f : func) : Core.fn =
     { md; nregs = 0; mems = []; nmem = 0; scope = [ [] ]; site = -1;
       sited = false; addr_taken; removable; inl_depth = 0 }
   in
-  (* Address-taken parameters are spilled to a private memory variable
-     at entry (mirroring compile_param's alloc + store); the spills are
-     emitted before the body so `&p` sees stable storage. *)
+  (* Address-taken parameters (every parameter when not promoting) are
+     spilled to a private memory variable at entry, mirroring the
+     interpreter's alloc + store; the spills are emitted before the body
+     so `&p` sees stable storage. *)
   let spills = ref [] in
   let params =
     List.map
@@ -892,7 +902,7 @@ let lower_fn (md : modl) (f : func) : Core.fn =
          match resolve st pa.pa_ty with
          | TRef inner ->
            (* the caller passes the argument's address (`lower_call` /
-              the closure backends wrap the argument in Addrof) *)
+              the interpreter wraps the argument in Addrof) *)
            if pa.pa_space <> AS_none then
              reject "address-space parameter %s" pa.pa_name;
            let r = fresh st in
@@ -910,7 +920,7 @@ let lower_fn (md : modl) (f : func) : Core.fn =
             | TPtr _ -> ()
             | t -> reject "parameter of type %s" (tyname t));
            let r = fresh st in
-           if SS.mem pa.pa_name addr_taken then begin
+           if SS.mem pa.pa_name addr_taken || not (promoting st) then begin
              let v =
                new_mem st
                  { Core.m_name = pa.pa_name; m_ty = ty; m_space = AS_none;
@@ -940,6 +950,11 @@ let lower_fn (md : modl) (f : func) : Core.fn =
     f_body = seal acc;
     f_sited = st.sited }
 
+let lower_one (md : modl) (f : func) : (Core.fn, string) result =
+  match lower_fn md f with
+  | fn -> Ok fn
+  | exception Reject msg -> Error msg
+
 let make ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
     (prog : program) : modl * (string * (Core.fn, string) result) list =
   let funcs = Hashtbl.create 31 in
@@ -966,15 +981,4 @@ let make ?(special_ty = fun _ -> None) ~(cfg : Pipeline.config)
        | Some e -> Hashtbl.replace md.md_inline n e
        | None -> ())
     funcs;
-  let out =
-    Hashtbl.fold
-      (fun n f l ->
-         let r =
-           match lower_fn md f with
-           | fn -> Ok fn
-           | exception Reject msg -> Error msg
-         in
-         (n, r) :: l)
-      funcs []
-  in
-  (md, out)
+  (md, Hashtbl.fold (fun n f l -> (n, lower_one md f) :: l) funcs [])

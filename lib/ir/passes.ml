@@ -6,8 +6,8 @@
    as separate phases; redundant-barrier elimination just filters the
    instructions the lowering's dataflow analysis already proved safe.
 
-   Counter accounting: a pass that deletes work the closure backend
-   would have charged leaves an [Elim n] marker carrying the same
+   Counter accounting: a pass that deletes work the interpreter would
+   have charged leaves an [Elim n] marker carrying the same
    source site.  The emitter (in attribution mode) forwards those to
    `on_elim`, so per-site `ops + ops_eliminated` always equals the
    unoptimized per-site `ops` — the exact-sum invariant the attribution
@@ -138,8 +138,8 @@ let op_ety p = function
   | Core.Cst c -> Some c.I.ty
   | Core.Reg r -> p.ety.(r)
 
-(* Mirrors the closure backend's fast binop result types; anything it
-   would hand to the generic interpreter binop is reported unknown. *)
+(* Mirrors the emitter's fast binop result types; anything it would
+   hand to the generic interpreter binop is reported unknown. *)
 let bin_ety op a b =
   let cmp =
     match op with

@@ -10,9 +10,10 @@
    `selected` is what `Gpusim.Exec.launch` consults; `with_passes`
    scopes an override (the fuzzer pyramid pins `none` around its
    counter-identity stages, the layered validator around every launch).
-   The empty configuration is the contract point: with every pass off,
-   execution does not go through the IR backend at all — it takes the
-   pre-existing `Vm.Compile` closure path, byte-for-byte. *)
+   The empty configuration is the contract point: with every pass off
+   (and, with them, the lowering's register promotion) the IR executes
+   with exactly the interpreter's memory traffic, so its `Counters.t`
+   is byte-identical to `Vm.Interp`'s. *)
 
 type config = {
   fold : bool;      (* constant/copy propagation + counter-exact folding *)

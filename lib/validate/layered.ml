@@ -392,7 +392,11 @@ let run_side ~(cfg : vcfg) ~(layer : layer) (p : plan) : run_result =
     | _ -> (Some (observer_for ~layer ~kernel_name:p.pl_kernel c),
             truncated_externals ())
   in
+  (* pinned to the empty pass set: the validator observes source-level
+     events whatever the ambient passes are (inlining would drop the
+     enter/leave pair the runtime-helper masking keys on) *)
   let launch () =
+    Ir.Pipeline.with_passes Ir.Pipeline.none @@ fun () ->
     Gpusim.Exec.launch ~dev ~prog:p.pl_prog ~globals ~host_arena:host
       ~extra_externals ?observer ~kernel
       ~cfg:

@@ -131,8 +131,6 @@ let make ~prog ~arena_of ?(externals = []) ?(special_ident = no_special)
     on_elim;
     observer }
 
-let add_external ctx name f = Hashtbl.replace ctx.externals name f
-
 (* ------------------------------------------------------------------ *)
 (* Typed loads and stores                                              *)
 (* ------------------------------------------------------------------ *)

@@ -28,12 +28,12 @@ let test_fused name speed f =
   Alcotest.test_case name speed (fun () -> T.with_fusion true f)
 
 (* Compile [src]'s kernels and return the lockstep plan for [kernel]
-   under the ambient fusion toggle. *)
+   under the ambient fusion toggle and the engine tests' pass set. *)
 let plan_of ~src ~kernel =
   let prog = Minic.Parser.program ~dialect:Minic.Parser.OpenCL src in
   let est =
-    Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty ~cfg:!Ir.Pipeline.selected
-      prog
+    Ir.Emit.make ~special_ty:Gpusim.Exec.special_ty
+      ~cfg:(T.lockstep_passes ()) prog
   in
   match Gpusim.Lockstep.plan_for est ~name:kernel ~warp:32 with
   | Ok p -> p

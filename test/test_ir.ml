@@ -6,9 +6,9 @@
    through `Passes.stats`, and a planted regression where it must NOT
    fire — trapping division not hoisted, signed division not
    strength-reduced, divergence-guarded barrier kept, ...), and a qcheck
-   differential pinning the optimized closure backend to byte-identical
+   differential pinning the optimized IR backend to byte-identical
    buffers against both the interpreter and the `OCLCU_IR_PASSES=none`
-   path at 1 and 4 worker domains. *)
+   IR at 1 and 4 worker domains. *)
 
 open Minic.Ast
 module Core = Ir.Core

@@ -18,10 +18,20 @@ open Minic.Ast
 let check = Alcotest.(check bool)
 let check_ints = Alcotest.(check (array int))
 
+(* The lockstep engine refuses the empty pass set by design, and CI
+   runs the whole suite under OCLCU_IR_PASSES=none too; engine tests
+   therefore lift an empty ambient set to the default pipeline (any
+   other ambient set is kept), for the scalar reference and the
+   lockstep run alike. *)
+let lockstep_passes () =
+  if Ir.Pipeline.is_none !Ir.Pipeline.selected then Ir.Pipeline.all
+  else !Ir.Pipeline.selected
+
 let with_engine e f =
   let saved = !Gpusim.Exec.engine in
   Gpusim.Exec.engine := e;
-  Fun.protect ~finally:(fun () -> Gpusim.Exec.engine := saved) f
+  Fun.protect ~finally:(fun () -> Gpusim.Exec.engine := saved) @@ fun () ->
+  Ir.Pipeline.with_passes (lockstep_passes ()) f
 
 let with_domains n f =
   let saved = !Gpusim.Exec.domains in

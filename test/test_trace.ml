@@ -89,6 +89,21 @@ let sink_tests =
          in
          Alcotest.(check (float 1e-9)) "inner closed at outer's end" 9.0
            inner.Trace.Event.sp_t1);
+    Alcotest.test_case "span wall time is host wall clock, not CPU time"
+      `Quick (fun () ->
+         Trace.Sink.enable ();
+         let id = Trace.Sink.span_begin ~name:"sleep" ~sim_ns:0.0 () in
+         Unix.sleepf 0.05;
+         Trace.Sink.span_end id ~sim_ns:1.0;
+         let es = Trace.Sink.events () in
+         Trace.Sink.disable ();
+         let sp = List.find (fun sp -> sp.Trace.Event.sp_name = "sleep") es in
+         let wall_ms =
+           (sp.Trace.Event.sp_wall1 -. sp.Trace.Event.sp_wall0) /. 1e6
+         in
+         if wall_ms < 40.0 then
+           Alcotest.failf "a 50 ms sleep reported %.3f ms of wall time"
+             wall_ms);
     Alcotest.test_case "clock resets rebase onto a monotone timeline" `Quick
       (fun () ->
          Trace.Sink.enable ();
