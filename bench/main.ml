@@ -19,6 +19,10 @@ open Bridge.Framework
 
 let line = String.make 78 '-'
 
+(* Every timer here reads the monotonic clock, in seconds: wall time,
+   not the process CPU time [Sys.time] sums over every domain. *)
+let now_s () = Trace.Sink.wall_ns () /. 1e9
+
 let header title =
   Printf.printf "\n%s\n%s\n%s\n%!" line title line
 
@@ -533,7 +537,7 @@ let analyze () =
       (fun (a : ocl_app) -> Suite.Capture.kernel_sources a)
       Suite.Registry.all_opencl
   in
-  let t0 = Sys.time () in
+  let t0 = now_s () in
   let cu_outcomes =
     List.filter_map
       (fun (c : Suite.Registry.cuda_app) ->
@@ -550,7 +554,7 @@ let analyze () =
          | Error _ -> None)
       ocl_srcs
   in
-  let elapsed = Sys.time () -. t0 in
+  let elapsed = now_s () -. t0 in
   let count sel outs =
     List.fold_left (fun n o -> n + List.length (sel o)) 0 outs
   in
@@ -618,14 +622,14 @@ let validate_bench () =
               | Some _ -> incr diverged))
         outcomes
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   List.iter
     (fun src -> tally (Xlat_validate.Layered.check_opencl_source src))
     ocl_srcs;
   List.iter
     (fun src -> tally (Xlat_validate.Layered.check_cuda_source src))
     cuda_srcs;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = now_s () -. t0 in
   let kernels = !equivalent + !unsupported + !diverged in
   let rate = float_of_int kernels /. elapsed in
   Printf.printf "%-32s %d kernels (%d OCL + %d CUDA programs)\n" "corpus"
@@ -881,9 +885,9 @@ let time_under b f =
        ignore (f ());
        let best = ref infinity in
        for _ = 1 to 5 do
-         let t0 = Sys.time () in
+         let t0 = now_s () in
          ignore (f ());
-         let t = Sys.time () -. t0 in
+         let t = now_s () -. t0 in
          if t < !best then best := t
        done;
        !best)
@@ -1022,14 +1026,14 @@ let ablation_ir () =
 let fuzz_bench () =
   header "Fuzz: differential-pyramid throughput (seed 42)";
   let n = 200 in
-  let t0 = Sys.time () in
+  let t0 = now_s () in
   for i = 0 to n - 1 do
     ignore (Fuzz.Driver.case_of ~seed:42 i)
   done;
-  let t_gen = Sys.time () -. t0 in
-  let t1 = Sys.time () in
+  let t_gen = now_s () -. t0 in
+  let t1 = now_s () in
   let stats = Fuzz.Driver.run ~out_dir:"_fuzz_bench" ~seed:42 ~count:n () in
-  let t_pyr = Sys.time () -. t1 in
+  let t_pyr = now_s () -. t1 in
   let rate_gen = float_of_int n /. t_gen in
   let rate_pyr = float_of_int n /. t_pyr in
   Printf.printf "%-32s %10.0f kernels/s\n" "generation" rate_gen;
@@ -1171,9 +1175,9 @@ __kernel void reduce(__global int* out, __local int* tmp) {
   let time f =
     ignore (f ());  (* warm caches, spawn the pool *)
     let n = 3 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     for _ = 1 to n do ignore (f ()) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int n
+    (now_s () -. t0) /. float_of_int n
   in
   Printf.printf "%-24s %10s %10s %10s %10s %9s\n" "workload" "1 dom (s)"
     "2 dom (s)" "4 dom (s)" "8 dom (s)" "x at 4";
@@ -1361,9 +1365,9 @@ __kernel void reduce(__global int* out, __local int* tmp) {
     let n = 5 in
     let best = ref infinity in
     for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       ignore (f ());
-      let t = Unix.gettimeofday () -. t0 in
+      let t = now_s () -. t0 in
       if t < !best then best := t
     done;
     !best
@@ -1559,13 +1563,13 @@ let attribute_bench () =
     Minic.Site.enabled := attributed;
     Gpusim.Exec.attribute := attributed;
     Minic.Site.reset ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     let _, ms =
       with_metrics (fun () ->
           ignore (run_app_native app ());
           ignore (run_app_on_cuda app ()))
     in
-    (Unix.gettimeofday () -. t0, ms)
+    (now_s () -. t0, ms)
   in
   (* best-of-N wall time: robust against scheduler noise either way *)
   let best f =

@@ -38,11 +38,11 @@ let shrink ~(d : Pyramid.divergence) (case : Gen.case) : Gen.case * int =
 let run ?(out_dir = "_fuzz") ?time_budget ?(log = fun _ -> ()) ~seed ~count ()
   : stats =
   let stats = make_stats () in
-  let t0 = Sys.time () in
+  let t0 = Trace.Sink.wall_ns () in
   let budget_left () =
     match time_budget with
     | None -> true
-    | Some s -> Sys.time () -. t0 < s
+    | Some s -> (Trace.Sink.wall_ns () -. t0) /. 1e9 < s
   in
   let i = ref 0 in
   while !i < count && budget_left () do

@@ -13,15 +13,25 @@
    commutativity class: same-class atomics on the same cell commute —
    the final memory value is independent of interleaving — provided no
    kernel ever *uses* an atomic's return value, which a static scan of
-   the launched code establishes up front. *)
+   the launched code establishes up front.
+
+   Cost model.  Logging appends to flat int buffers, O(1) per access.
+   The check is O(n log n) in the n logged entries of all blocks and
+   has no pairwise loop: each block's intervals are sorted and merged,
+   atomics are grouped by exact cell with one sort, and then every
+   write, read and atomic-cell interval, tagged with its owner, is
+   sorted once by start and swept once.  Per kind, the sweep keeps the
+   two largest ends owned by distinct owners, which answers "does an
+   earlier interval of another owner reach past this start?" in O(1). *)
 
 open Minic.Ast
 
 (* Commutativity class of an atomic RMW.  [Kadd] covers add and subtract
    on integers (modular, so order-free); [Kinc]/[Kdec] are CUDA's
    wrapping increment/decrement, order-free only among ops with the same
-   bound; [Kother] (exchange, compare-and-swap, any float op — rounding
-   is order-sensitive) never commutes across blocks. *)
+   bound (an unsigned 32-bit value); [Kother] (exchange,
+   compare-and-swap, any float op — rounding is order-sensitive) never
+   commutes across blocks. *)
 type klass =
   | Kadd
   | Kmin
@@ -29,6 +39,15 @@ type klass =
   | Kinc of int64
   | Kdec of int64
   | Kother
+
+(* One int per class; injective while bounds stay below 2^61. *)
+let klass_code = function
+  | Kadd -> 0
+  | Kmin -> 1
+  | Kmax -> 2
+  | Kother -> 3
+  | Kinc b -> 4 + (2 * Int64.to_int b)
+  | Kdec b -> 5 + (2 * Int64.to_int b)
 
 (* Shared address spaces are logged into one flat address line; tagging
    keeps offsets from different arenas from colliding.  Arena offsets
@@ -40,171 +59,234 @@ let tag (space : addr_space) addr =
   | AS_none -> addr + (2 lsl 45)
   | AS_local | AS_private -> addr  (* never logged *)
 
-(* --- per-block interval logs --------------------------------------- *)
+(* --- flat int buffers ---------------------------------------------- *)
 
-(* Flat [lo; hi) pairs.  Appends that extend or repeat the previous
-   interval merge in place, which collapses the common streaming access
-   patterns to O(1) entries. *)
-type ilog = {
+(* Fixed-width records of ints, appended in place. *)
+type ibuf = {
   mutable buf : int array;
   mutable len : int;
 }
 
-let ilog_create () = { buf = Array.make 32 0; len = 0 }
+let ibuf_create () = { buf = Array.make 32 0; len = 0 }
 
+(* Room for [k] more ints. *)
+let reserve l k =
+  if l.len + k > Array.length l.buf then begin
+    let bigger = Array.make (max (2 * Array.length l.buf) (l.len + k)) 0 in
+    Array.blit l.buf 0 bigger 0 l.len;
+    l.buf <- bigger
+  end
+
+(* Orders the records at offsets [i] and [j] of [b] by their first two
+   ints. *)
+let by_first_two b i j =
+  let c = Int.compare b.(i) b.(j) in
+  if c <> 0 then c else Int.compare b.(i + 1) b.(j + 1)
+
+(* Offsets of the [stride]-wide records of [l], sorted by [cmp]. *)
+let sorted_offsets l ~stride cmp =
+  let idx = Array.init (l.len / stride) (fun i -> stride * i) in
+  Array.stable_sort cmp idx;
+  idx
+
+(* --- per-block logs ---------------------------------------------------- *)
+
+(* Interval logs are [lo; hi) pairs.  Appends that extend or repeat the
+   previous interval merge in place, which collapses the common
+   streaming access patterns to O(1) entries. *)
 let ilog_push l lo hi =
   if l.len >= 2 && l.buf.(l.len - 2) <= lo && lo <= l.buf.(l.len - 1) then begin
     if hi > l.buf.(l.len - 1) then l.buf.(l.len - 1) <- hi
   end
   else begin
-    if l.len + 2 > Array.length l.buf then begin
-      let bigger = Array.make (2 * Array.length l.buf) 0 in
-      Array.blit l.buf 0 bigger 0 l.len;
-      l.buf <- bigger
-    end;
+    reserve l 2;
     l.buf.(l.len) <- lo;
     l.buf.(l.len + 1) <- hi;
     l.len <- l.len + 2
   end
 
-(* Sorted, merged (lo, hi) array. *)
-let ilog_finalize l =
-  let n = l.len / 2 in
-  let iv = Array.init n (fun i -> (l.buf.(2 * i), l.buf.(2 * i + 1))) in
-  Array.sort compare iv;
-  let out = ref [] in
-  Array.iter
-    (fun (lo, hi) ->
-       match !out with
-       | (plo, phi) :: rest when lo <= phi -> out := (plo, max phi hi) :: rest
-       | _ -> out := (lo, hi) :: !out)
-    iv;
-  Array.of_list (List.rev !out)
+(* [ilog_finalize l f] calls [f lo hi] on each interval of [l] sorted by
+   (lo, hi), with overlapping or touching intervals merged. *)
+let ilog_finalize l f =
+  let b = l.buf in
+  let idx = sorted_offsets l ~stride:2 (by_first_two b) in
+  let n = Array.length idx in
+  if n > 0 then begin
+    let lo = ref b.(idx.(0)) and hi = ref b.(idx.(0) + 1) in
+    for k = 1 to n - 1 do
+      let i = idx.(k) in
+      if b.(i) <= !hi then begin
+        if b.(i + 1) > !hi then hi := b.(i + 1)
+      end
+      else begin
+        f !lo !hi;
+        lo := b.(i);
+        hi := b.(i + 1)
+      end
+    done;
+    f !lo !hi
+  end
 
 type block_log = {
   lb_block : int;                          (* linear block id *)
-  lb_reads : ilog;
-  lb_writes : ilog;
-  lb_atomics : (int * int * klass, unit) Hashtbl.t;  (* addr, size, class *)
+  lb_reads : ibuf;
+  lb_writes : ibuf;
+  lb_atomics : ibuf;                (* addr, size, block, class code *)
 }
 
 let block_log block =
   { lb_block = block;
-    lb_reads = ilog_create ();
-    lb_writes = ilog_create ();
-    lb_atomics = Hashtbl.create 4 }
+    lb_reads = ibuf_create ();
+    lb_writes = ibuf_create ();
+    lb_atomics = ibuf_create () }
 
 let record_read b addr size = ilog_push b.lb_reads addr (addr + size)
 let record_write b addr size = ilog_push b.lb_writes addr (addr + size)
 
+(* An immediate repeat of the previous (cell, class) is not stored. *)
 let record_atomic b addr size k =
-  Hashtbl.replace b.lb_atomics (addr, size, k) ()
+  let l = b.lb_atomics and code = klass_code k in
+  let n = l.len in
+  if not (n >= 4 && l.buf.(n - 4) = addr && l.buf.(n - 3) = size
+          && l.buf.(n - 1) = code)
+  then begin
+    reserve l 4;
+    l.buf.(n) <- addr;
+    l.buf.(n + 1) <- size;
+    l.buf.(n + 2) <- b.lb_block;
+    l.buf.(n + 3) <- code;
+    l.len <- n + 4
+  end
 
 (* --- the cross-block check ----------------------------------------- *)
 
-(* Sorted interval table (parallel arrays) with the owning block id. *)
-type itab = {
-  it_lo : int array;
-  it_hi : int array;
-  it_blk : int array;
-}
-
-let itab_of (entries : (int * int * int) list) =
-  let a = Array.of_list entries in
-  Array.sort compare a;
-  { it_lo = Array.map (fun (lo, _, _) -> lo) a;
-    it_hi = Array.map (fun (_, hi, _) -> hi) a;
-    it_blk = Array.map (fun (_, _, b) -> b) a }
-
-(* Does [lo, hi) overlap any interval of [t] owned by a block other than
-   [blk]?  Intervals in [t] may themselves overlap (reads do); scan from
-   the first candidate. *)
-let itab_hits t ~blk lo hi =
-  let n = Array.length t.it_lo in
-  (* first index whose lo is >= hi bounds the scan; walk left from there *)
-  let rec bsearch a b =
-    if a >= b then a
-    else
-      let m = (a + b) / 2 in
-      if t.it_lo.(m) < hi then bsearch (m + 1) b else bsearch a m
-  in
-  let stop = bsearch 0 n in
-  let rec scan i =
-    if i < 0 then false
-    else if t.it_hi.(i) > lo && t.it_blk.(i) <> blk then true
-    else scan (i - 1)
-  in
-  (* all intervals with lo < hi are candidates; earlier ones may still
-     reach past [lo], so scan them all (logs are merged per block and
-     conflicts short-circuit, so tables stay small in practice) *)
-  scan (stop - 1)
+(* Sweep entry kinds. *)
+let k_write = 0
+let k_read = 1
+let k_atomic = 2
 
 (* [check logs ~atomics_clean] returns [Some reason] if running the
    logged blocks concurrently could be observed — a cross-block overlap
    involving a write, or atomics that do not provably commute.
    [atomics_clean = false] means some reachable code uses an atomic's
-   return value, so atomics are treated as ordinary read-writes. *)
+   return value, so atomics are treated as ordinary read-writes.
+
+   Two intervals of different owners conflict when they overlap, unless
+   both are reads.  An atomic cell that several blocks touched either
+   conflicts on the spot (two classes, or [Kother]) or commutes; a
+   commuting cell enters the sweep once, under a fresh negative owner
+   no block has, so every other interval overlapping it conflicts. *)
 let check (logs : block_log list) ~atomics_clean : string option =
-  let writes = ref [] and reads = ref [] and atomics = ref [] in
+  (* sweep entries: lo, hi, owner, kind *)
+  let ent = ibuf_create () in
+  let push lo hi owner kind =
+    reserve ent 4;
+    let e = ent.buf and n = ent.len in
+    e.(n) <- lo;
+    e.(n + 1) <- hi;
+    e.(n + 2) <- owner;
+    e.(n + 3) <- kind;
+    ent.len <- n + 4
+  in
+  (* atomic records of all blocks *)
+  let atoms = ibuf_create () in
   List.iter
     (fun b ->
-       Array.iter
-         (fun (lo, hi) -> writes := (lo, hi, b.lb_block) :: !writes)
-         (ilog_finalize b.lb_writes);
-       Array.iter
-         (fun (lo, hi) -> reads := (lo, hi, b.lb_block) :: !reads)
-         (ilog_finalize b.lb_reads);
-       Hashtbl.iter
-         (fun (addr, size, k) () ->
-            if atomics_clean then
-              atomics := (addr, size, k, b.lb_block) :: !atomics
-            else begin
-              (* a used atomic result is an ordinary read-modify-write *)
-              writes := (addr, addr + size, b.lb_block) :: !writes;
-              reads := (addr, addr + size, b.lb_block) :: !reads
-            end)
-         b.lb_atomics)
+       let blk = b.lb_block in
+       ilog_finalize b.lb_writes (fun lo hi -> push lo hi blk k_write);
+       ilog_finalize b.lb_reads (fun lo hi -> push lo hi blk k_read);
+       let l = b.lb_atomics in
+       reserve atoms l.len;
+       Array.blit l.buf 0 atoms.buf atoms.len l.len;
+       atoms.len <- atoms.len + l.len)
     logs;
-  let wt = itab_of !writes in
-  let rt = itab_of !reads in
-  let conflict = ref None in
-  let set reason = if !conflict = None then conflict := Some reason in
-  (* write-write and read-write overlaps across blocks *)
-  let n = Array.length wt.it_lo in
+  (* group atomics by exact cell, entries of one cell ordered by block *)
+  let a = atoms.buf in
+  let idx =
+    sorted_offsets atoms ~stride:4 (fun i j ->
+        let c = by_first_two a i j in
+        if c <> 0 then c else Int.compare a.(i + 2) a.(j + 2))
+  in
+  let cell_conflict = ref false and fresh = ref 0 in
+  let n = Array.length idx in
   let i = ref 0 in
-  while !conflict = None && !i < n do
-    let lo = wt.it_lo.(!i) and hi = wt.it_hi.(!i) and blk = wt.it_blk.(!i) in
-    (* against later writes: sorted order makes one forward peek enough
-       per pair; walk while starts precede our end *)
-    let j = ref (!i + 1) in
-    while !conflict = None && !j < n && wt.it_lo.(!j) < hi do
-      if wt.it_blk.(!j) <> blk then set "write/write overlap across blocks";
+  while !i < n do
+    let first = idx.(!i) in
+    let addr = a.(first) and size = a.(first + 1) in
+    let j = ref (!i + 1) and multi = ref false and uniform = ref true in
+    while !j < n && a.(idx.(!j)) = addr && a.(idx.(!j) + 1) = size do
+      let e = idx.(!j) in
+      if a.(e + 2) <> a.(first + 2) then multi := true;
+      if a.(e + 3) <> a.(first + 3) then uniform := false;
       incr j
     done;
-    if !conflict = None && itab_hits rt ~blk lo hi then
-      set "read/write overlap across blocks";
-    incr i
+    if atomics_clean && !multi then begin
+      if !uniform && a.(first + 3) <> klass_code Kother then begin
+        decr fresh;
+        push addr (addr + size) !fresh k_atomic
+      end
+      else cell_conflict := true
+    end
+    else
+      for k = !i to !j - 1 do
+        let blk = a.(idx.(k) + 2) in
+        if k = !i || blk <> a.(idx.(k - 1) + 2) then
+          if atomics_clean then push addr (addr + size) blk k_atomic
+          else begin
+            (* a used atomic result is an ordinary read-modify-write *)
+            push addr (addr + size) blk k_write;
+            push addr (addr + size) blk k_read
+          end
+      done;
+    i := !j
   done;
-  (* atomics: conflict with any ordinary access from another block, and
-     with atomics of another class (or another cell) from another block *)
-  let atoms = !atomics in
-  List.iter
-    (fun (addr, size, k, blk) ->
-       if !conflict = None then begin
-         if itab_hits wt ~blk addr (addr + size)
-         || itab_hits rt ~blk addr (addr + size) then
-           set "atomic overlaps ordinary access across blocks"
-         else
-           List.iter
-             (fun (addr', size', k', blk') ->
-                if !conflict = None && blk' <> blk
-                && addr < addr' + size' && addr' < addr + size then
-                  if not (addr = addr' && size = size' && k = k' && k <> Kother)
-                  then set "non-commuting atomics on one cell across blocks")
-             atoms
-       end)
-    atoms;
-  !conflict
+  (* the sweep, in (lo, hi) order; per kind: the largest end seen [hi1],
+     one owner of it [own1], and the largest end of any other owner *)
+  let e = ent.buf in
+  let order = sorted_offsets ent ~stride:4 (by_first_two e) in
+  let hi1 = Array.make 3 min_int
+  and own1 = Array.make 3 min_int
+  and hi2 = Array.make 3 min_int in
+  (* an earlier [kind] interval of another owner ends past [lo]; with
+     (lo, hi) order that is exactly a half-open overlap *)
+  let reaches kind lo owner =
+    (if own1.(kind) <> owner then hi1.(kind) else hi2.(kind)) > lo
+  in
+  let ww = ref false and rw = ref false and ao = ref false in
+  let aa = ref !cell_conflict in
+  Array.iter
+    (fun x ->
+       let lo = e.(x) and hi = e.(x + 1) and owner = e.(x + 2)
+       and kind = e.(x + 3) in
+       if kind = k_write then begin
+         if reaches k_write lo owner then ww := true;
+         if reaches k_read lo owner then rw := true;
+         if reaches k_atomic lo owner then ao := true
+       end
+       else if kind = k_read then begin
+         if reaches k_write lo owner then rw := true;
+         if reaches k_atomic lo owner then ao := true
+       end
+       else begin
+         if reaches k_write lo owner || reaches k_read lo owner then
+           ao := true;
+         if reaches k_atomic lo owner then aa := true
+       end;
+       if owner = own1.(kind) then begin
+         if hi > hi1.(kind) then hi1.(kind) <- hi
+       end
+       else if hi > hi1.(kind) then begin
+         hi2.(kind) <- hi1.(kind);
+         hi1.(kind) <- hi;
+         own1.(kind) <- owner
+       end
+       else if hi > hi2.(kind) then hi2.(kind) <- hi)
+    order;
+  if !ww then Some "write/write overlap across blocks"
+  else if !rw then Some "read/write overlap across blocks"
+  else if !ao then Some "atomic overlaps ordinary access across blocks"
+  else if !aa then Some "non-commuting atomics on one cell across blocks"
+  else None
 
 (* --- static scan: is any atomic's return value used? ----------------- *)
 

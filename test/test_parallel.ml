@@ -268,6 +268,250 @@ __kernel void boom(__global int* p) {
           in
           Alcotest.(check string) "same exception" (attempt 1) (attempt 4)) ]
 
+(* --- directed cases at scale -------------------------------------------- *)
+
+(* A 128-block histogram: 64 bins shared by every block, each hit with
+   an RMW whose result is discarded. *)
+let histogram_src rmw = Printf.sprintf {|
+__global__ void hist(int* bins) {
+  int i = blockIdx.x * blockDim.x + threadIdx.x;
+  %s(&bins[(i * i) %% 64], 1);
+}
+|} rmw
+
+let launch_histogram rmw =
+  let bins = ref 0 in
+  let dev, stats =
+    launch_at ~domains:4 ~dialect:Minic.Parser.Cuda ~src:(histogram_src rmw)
+      ~kernel:"hist" ~gws:[| 128 * 16; 1; 1 |] ~lws:[| 16; 1; 1 |]
+      ~args:(fun dev ->
+          let b = gbuf dev (64 * 4) in
+          bins := b;
+          [ iptr b ])
+      ()
+  in
+  (read_ints dev !bins 64, stats)
+
+let cptr addr =
+  Gpusim.Exec.Arg_val
+    (Vm.Interp.tv
+       (Vm.Value.VInt (Vm.Value.make_ptr AS_global addr))
+       (TPtr (TScalar Char)))
+
+(* Block [g] stores bytes [stride*g, stride*g + lws): with [lws] =
+   [stride] the blocks' ranges touch, one more byte and they overlap. *)
+let launch_byte_ranges ~stride ~lws =
+  let src = Printf.sprintf {|
+__kernel void span(__global char* p) {
+  p[(int)get_group_id(0) * %d + (int)get_local_id(0)] = (char)get_group_id(0);
+}
+|} stride
+  in
+  launch_at ~domains:4 ~src ~kernel:"span" ~gws:[| 32 * lws; 1; 1 |]
+    ~lws:[| lws; 1; 1 |]
+    ~args:(fun dev -> [ cptr (gbuf dev ((32 * stride) + lws)) ])
+    ()
+
+let scale_tests =
+  [ Alcotest.test_case "128-block atomicAdd histogram stays parallel" `Quick
+      (fun () ->
+         let bins, stats = launch_histogram "atomicAdd" in
+         expect_parallel stats;
+         let expected = Array.make 64 0 in
+         for i = 0 to (128 * 16) - 1 do
+           let b = i * i mod 64 in
+           expected.(b) <- expected.(b) + 1
+         done;
+         Alcotest.(check (array int)) "exact bins" expected bins);
+    Alcotest.test_case "128-block atomicExch histogram replays" `Quick
+      (fun () ->
+         let _, stats = launch_histogram "atomicExch" in
+         expect_replayed stats);
+    Alcotest.test_case "strided gather with disjoint writes stays parallel"
+      `Quick (fun () ->
+          (* each item reads a scattered element, so read logs stay one
+             interval per item; writes are one contiguous range per block *)
+          let src = {|
+__kernel void gather(__global int* in, __global int* out) {
+  int i = get_global_id(0);
+  out[i] = in[(i * 37) % 1024] + 1;
+}
+|}
+          in
+          let out = ref 0 in
+          let dev, stats =
+            launch_at ~domains:4 ~src ~kernel:"gather" ~gws:[| 1024; 1; 1 |]
+              ~lws:[| 32; 1; 1 |]
+              ~args:(fun dev ->
+                  let i = gbuf dev (1024 * 4) and o = gbuf dev (1024 * 4) in
+                  for k = 0 to 1023 do
+                    Vm.Memory.store_int dev.global (i + (4 * k)) 4
+                      (Int64.of_int (3 * k))
+                  done;
+                  out := o;
+                  [ iptr i; iptr o ])
+              ()
+          in
+          expect_parallel stats;
+          Alcotest.(check (array int)) "gathered"
+            (Array.init 1024 (fun i -> (3 * (i * 37 mod 1024)) + 1))
+            (read_ints dev !out 1024));
+    Alcotest.test_case "adjacent half-open write ranges stay parallel" `Quick
+      (fun () -> expect_parallel (snd (launch_byte_ranges ~stride:8 ~lws:8)));
+    Alcotest.test_case "a one-byte cross-block overlap replays" `Quick
+      (fun () -> expect_replayed (snd (launch_byte_ranges ~stride:8 ~lws:9))) ]
+
+(* --- qcheck: the sweep against a pairwise reference --------------------- *)
+
+type gen_log = {
+  g_block : int;
+  g_reads : (int * int) list;                       (* addr, size *)
+  g_writes : (int * int) list;
+  g_atomics : (int * int * Gpusim.Conflict.klass) list;
+}
+
+let klasses =
+  Gpusim.Conflict.
+    [| Kadd; Kmin; Kmax; Kother; Kinc 7L; Kinc 0xffffffffL; Kdec 7L;
+       Kdec 0L |]
+
+(* Pairwise over the raw entries: every reason a conflicting pair gives.
+   Sizes are positive, as for every access the VM logs, so the raw
+   entries overlap exactly when their merged intervals do. *)
+let reference logs ~atomics_clean =
+  let ord = ref [] and atoms = ref [] in
+  List.iter
+    (fun g ->
+       List.iter (fun (a, s) -> ord := (`R, a, a + s, g.g_block) :: !ord)
+         g.g_reads;
+       List.iter (fun (a, s) -> ord := (`W, a, a + s, g.g_block) :: !ord)
+         g.g_writes;
+       List.iter
+         (fun (a, s, k) ->
+            if atomics_clean then atoms := (a, s, k, g.g_block) :: !atoms
+            else
+              ord := (`R, a, a + s, g.g_block) :: (`W, a, a + s, g.g_block)
+                     :: !ord)
+         g.g_atomics)
+    logs;
+  let overlap lo hi lo' hi' = lo < hi' && lo' < hi in
+  let found = ref [] in
+  let note r = if not (List.mem r !found) then found := r :: !found in
+  List.iter
+    (fun (k, lo, hi, b) ->
+       List.iter
+         (fun (k', lo', hi', b') ->
+            if b <> b' && overlap lo hi lo' hi' then
+              match k, k' with
+              | `W, `W -> note "write/write overlap across blocks"
+              | `W, `R | `R, `W -> note "read/write overlap across blocks"
+              | `R, `R -> ())
+         !ord;
+       List.iter
+         (fun (a, s, _, b') ->
+            if b <> b' && overlap lo hi a (a + s) then
+              note "atomic overlaps ordinary access across blocks")
+         !atoms)
+    !ord;
+  List.iter
+    (fun (a, s, k, b) ->
+       List.iter
+         (fun (a', s', k', b') ->
+            if b <> b' && overlap a (a + s) a' (a' + s')
+               && not (a = a' && s = s' && k = k' && k <> Gpusim.Conflict.Kother)
+            then note "non-commuting atomics on one cell across blocks")
+         !atoms)
+    !atoms;
+  !found
+
+(* Addresses crowd a 96-byte line so entries overlap, nest, touch and
+   repeat; atomic cells come from a small pool, some partially
+   overlapping, so exact-cell sharing is common.  Half the cases keep
+   each block's writes in its own region (touching the next block's)
+   and the reads clear of the atomic cells, so the accepting verdict,
+   and atomic conflicts alone, are frequent too. *)
+let gen_case =
+  let open QCheck.Gen in
+  let cells = [| (0, 4); (0, 8); (4, 4); (2, 2); (8, 8); (64, 4) |] in
+  let* n_blocks = int_range 1 5 in
+  let* atomics_clean = bool in
+  let* separate = bool in
+  let* one_class = bool in
+  let* ids = shuffle_l (List.init 8 Fun.id) in
+  let ids = List.filteri (fun i _ -> i < n_blocks) ids in
+  let interval ~base ~span =
+    let* lo = int_range base (base + span - 1) in
+    let* size = oneofl [ 1; 2; 4; 4; 8 ] in
+    return (lo, size)
+  in
+  let block blk =
+    let* reads =
+      list_size (int_range 0 6)
+        (interval ~base:(if separate then 80 else 0) ~span:96)
+    in
+    let* writes =
+      list_size (int_range 0 4)
+        (if separate then interval ~base:(100 + (16 * blk)) ~span:9
+         else interval ~base:0 ~span:96)
+    in
+    let writes = writes @ List.filteri (fun i _ -> i = 0) writes in
+    let* atomics =
+      list_size (int_range 0 5)
+        (let* cell = oneofa cells in
+         let* k = if one_class then return 0 else int_bound 7 in
+         return (fst cell, snd cell, klasses.(k)))
+    in
+    let atomics = atomics @ List.filteri (fun i _ -> i < 2) atomics in
+    return { g_block = blk; g_reads = reads; g_writes = writes;
+             g_atomics = atomics }
+  in
+  let* logs = flatten_l (List.map block ids) in
+  return (logs, atomics_clean)
+
+let print_case (logs, atomics_clean) =
+  let iv (a, s) = Printf.sprintf "[%d,%d)" a (a + s) in
+  let klass = function
+    | Gpusim.Conflict.Kadd -> "add" | Kmin -> "min" | Kmax -> "max"
+    | Kother -> "other" | Kinc b -> Printf.sprintf "inc%Ld" b
+    | Kdec b -> Printf.sprintf "dec%Ld" b
+  in
+  Printf.sprintf "atomics_clean=%b\n%s" atomics_clean
+    (String.concat "\n"
+       (List.map
+          (fun g ->
+             Printf.sprintf "block %d: R %s W %s A %s" g.g_block
+               (String.concat " " (List.map iv g.g_reads))
+               (String.concat " " (List.map iv g.g_writes))
+               (String.concat " "
+                  (List.map
+                     (fun (a, s, k) -> iv (a, s) ^ ":" ^ klass k)
+                     g.g_atomics)))
+          logs))
+
+let prop_check_matches_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"conflict check agrees with a pairwise reference"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (logs, atomics_clean) ->
+       let block_logs =
+         List.map
+           (fun g ->
+              let b = Gpusim.Conflict.block_log g.g_block in
+              List.iter (fun (a, s) -> Gpusim.Conflict.record_read b a s)
+                g.g_reads;
+              List.iter (fun (a, s) -> Gpusim.Conflict.record_write b a s)
+                g.g_writes;
+              List.iter
+                (fun (a, s, k) -> Gpusim.Conflict.record_atomic b a s k)
+                g.g_atomics;
+              b)
+           logs
+       in
+       let expected = reference logs ~atomics_clean in
+       match Gpusim.Conflict.check block_logs ~atomics_clean with
+       | None -> expected = []
+       | Some reason -> List.mem reason expected)
+
 (* --- domain-safety of shared infrastructure ----------------------------- *)
 
 let safety_tests =
@@ -380,8 +624,10 @@ __kernel void work(__global int* p) {
 
 let suites =
   [ ("parallel.directed", directed_tests);
+    ("parallel.scale", scale_tests);
     ( "parallel.qcheck",
       [ QCheck_alcotest.to_alcotest prop_domain_counts;
-        QCheck_alcotest.to_alcotest prop_domain_counts_interp ] );
+        QCheck_alcotest.to_alcotest prop_domain_counts_interp;
+        QCheck_alcotest.to_alcotest prop_check_matches_reference ] );
     ("parallel.safety", safety_tests);
     ("parallel.trace", trace_tests) ]
